@@ -14,7 +14,6 @@ void
 registerAllSections(Registry& registry)
 {
     registerAblationModes(registry);
-    registerClusterScale(registry);
     registerColdstartPolicies(registry);
     registerDurabilityFrontier(registry);
     registerFig04MasterSpOverhead(registry);

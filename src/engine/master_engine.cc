@@ -1,39 +1,10 @@
 #include "engine/master_engine.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "common/logging.h"
 #include "storage/progress_log.h"
 
 namespace faasflow::engine {
-
-namespace {
-
-bool
-isSkipped(const Invocation& inv, const workflow::DagNode& node)
-{
-    if (node.switch_id < 0 || node.switch_branch < 0)
-        return false;
-    const auto it = inv.switch_choice.find(node.switch_id);
-    if (it == inv.switch_choice.end())
-        panic("node '%s' triggered before its switch chose a branch",
-              node.name.c_str());
-    return it->second != node.switch_branch;
-}
-
-int
-switchBranchCount(const workflow::Dag& dag, int switch_id)
-{
-    int max_branch = -1;
-    for (const auto& node : dag.nodes()) {
-        if (node.switch_id == switch_id)
-            max_branch = std::max(max_branch, node.switch_branch);
-    }
-    return max_branch + 1;
-}
-
-}  // namespace
 
 ExecutorAgent::ExecutorAgent(RuntimeContext& ctx, int worker_index, Rng rng)
     : ctx_(ctx),
@@ -139,7 +110,7 @@ MasterEngine::trigger(Invocation& inv, workflow::NodeId node_id)
         const auto& node = inv.wf->dag.node(node_id);
         if (ctx_.trace) {
             ctx_.trace->instant("trigger", node.name,
-                                static_cast<int>(TraceTrack::Master),
+                                static_cast<int>(obs::TraceTrack::Master),
                                 ctx_.sim.now(), inv.inv_span);
         }
 
@@ -186,9 +157,9 @@ MasterEngine::trigger(Invocation& inv, workflow::NodeId node_id)
                 // Zero-duration node span on the master lane — virtual
                 // joins and skipped branches run inside the central
                 // engine, no worker is involved.
-                const SpanId span = ctx_.trace->span(
+                const obs::SpanId span = ctx_.trace->span(
                     "node", node.name,
-                    static_cast<int>(TraceTrack::Master), ctx_.sim.now(),
+                    static_cast<int>(obs::TraceTrack::Master), ctx_.sim.now(),
                     ctx_.sim.now(), skipped ? "skipped" : "virtual",
                     inv.inv_span);
                 inv.node_span[static_cast<size_t>(node_id)] = span;

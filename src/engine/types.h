@@ -1,6 +1,7 @@
 #ifndef FAASFLOW_ENGINE_TYPES_H_
 #define FAASFLOW_ENGINE_TYPES_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -8,10 +9,11 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/payload.h"
 #include "common/sim_time.h"
 #include "engine/modes.h"
-#include "engine/trace.h"
+#include "obs/trace.h"
 #include "scheduler/feedback.h"
 #include "scheduler/placement.h"
 #include "workflow/dag.h"
@@ -208,8 +210,8 @@ struct Invocation
      *  the latest span recorded for each DAG node (re-drives replace the
      *  entry, so dep flows always point at the run that produced the
      *  consumed output). All zero while tracing is disabled. */
-    SpanId inv_span = 0;
-    std::vector<SpanId> node_span;
+    obs::SpanId inv_span = 0;
+    std::vector<obs::SpanId> node_span;
 
     size_t sinks_remaining = 0;
     bool finished = false;
@@ -247,6 +249,31 @@ chooseSwitchBranch(const Invocation& inv, int switch_id, int branches)
     return static_cast<int>(x % static_cast<uint64_t>(branches));
 }
 
+/** Branch count of a switch construct = max branch index + 1. */
+inline int
+switchBranchCount(const workflow::Dag& dag, int switch_id)
+{
+    int max_branch = -1;
+    for (const auto& node : dag.nodes()) {
+        if (node.switch_id == switch_id)
+            max_branch = std::max(max_branch, node.switch_branch);
+    }
+    return max_branch + 1;
+}
+
+/** True when `node` sits on a switch branch the invocation did not take. */
+inline bool
+isSkipped(const Invocation& inv, const workflow::DagNode& node)
+{
+    if (node.switch_id < 0 || node.switch_branch < 0)
+        return false;
+    const auto it = inv.switch_choice.find(node.switch_id);
+    if (it == inv.switch_choice.end())
+        panic("node '%s' triggered before its switch chose a branch",
+              node.name.c_str());
+    return it->second != node.switch_branch;
+}
+
 /**
  * Records the causal "dep" flow arrows into a node's freshly-opened
  * trace span: one from each DAG predecessor's span (the data/control
@@ -255,14 +282,14 @@ chooseSwitchBranch(const Invocation& inv, int switch_id, int branches)
  * fires, so the arrows never point backwards. No-op while disabled.
  */
 inline void
-recordNodeSpanFlows(TraceRecorder* trace, const Invocation& inv,
-                    workflow::NodeId node, SpanId to, SimTime at)
+recordNodeSpanFlows(obs::TraceRecorder* trace, const Invocation& inv,
+                    workflow::NodeId node, obs::SpanId to, SimTime at)
 {
     if (!trace || !trace->enabled() || to == 0)
         return;
     bool any = false;
     for (const workflow::NodeId pred : inv.wf->dag.predecessors(node)) {
-        const SpanId from = inv.node_span[static_cast<size_t>(pred)];
+        const obs::SpanId from = inv.node_span[static_cast<size_t>(pred)];
         if (from != 0) {
             trace->flow("dep", from, to, at);
             any = true;

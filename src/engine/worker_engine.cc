@@ -1,9 +1,7 @@
 #include "engine/worker_engine.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "common/logging.h"
 #include "common/units.h"
 #include "storage/progress_log.h"
 
@@ -15,31 +13,6 @@ namespace {
 constexpr int64_t kEngineBaselineMemory = 47 * kMB;
 /** Approximate footprint of one invocation's State structure. */
 constexpr int64_t kStateStructureBytes = 2 * kKiB;
-
-/** True when `node` sits on a switch branch the invocation did not take. */
-bool
-isSkipped(const Invocation& inv, const workflow::DagNode& node)
-{
-    if (node.switch_id < 0 || node.switch_branch < 0)
-        return false;
-    const auto it = inv.switch_choice.find(node.switch_id);
-    if (it == inv.switch_choice.end())
-        panic("node '%s' triggered before its switch chose a branch",
-              node.name.c_str());
-    return it->second != node.switch_branch;
-}
-
-/** Branch count of a switch construct = max branch index + 1. */
-int
-switchBranchCount(const workflow::Dag& dag, int switch_id)
-{
-    int max_branch = -1;
-    for (const auto& node : dag.nodes()) {
-        if (node.switch_id == switch_id)
-            max_branch = std::max(max_branch, node.switch_branch);
-    }
-    return max_branch + 1;
-}
 
 }  // namespace
 
@@ -163,7 +136,7 @@ WorkerEngine::trigger(Invocation& inv, workflow::NodeId node_id)
             if (ctx_.trace && ctx_.trace->enabled()) {
                 // Zero-duration node span: keeps the causal chain through
                 // virtual joins and non-taken branches intact.
-                const SpanId span = ctx_.trace->span(
+                const obs::SpanId span = ctx_.trace->span(
                     "node", node.name, workerTrack(worker_index_),
                     ctx_.sim.now(), ctx_.sim.now(),
                     skipped ? "skipped" : "virtual", inv.inv_span);

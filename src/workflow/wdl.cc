@@ -1,9 +1,12 @@
 #include "workflow/wdl.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
+#include <string_view>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -60,6 +63,29 @@ class WdlParser
         if (result_.error.empty())
             result_.error = msg;
         return false;
+    }
+
+    /** Closed vocabulary: fails on the first key of `block` outside
+     *  `known`. A misspelled knob (batch_window_ms for batch_window_us)
+     *  silently falling back to its default would change the run
+     *  without any signal. */
+    bool
+    checkKeys(const Value& block, std::string_view what,
+              std::initializer_list<std::string_view> known)
+    {
+        for (const auto& [key, value] : block.asObject()) {
+            if (std::find(known.begin(), known.end(), key) != known.end())
+                continue;
+            std::string expected;
+            for (const std::string_view k : known) {
+                if (!expected.empty())
+                    expected += '/';
+                expected += k;
+            }
+            return fail("unknown " + std::string(what) + " key '" + key +
+                        "' (expected " + expected + ")");
+        }
+        return true;
     }
 
     std::string uniqueName(const std::string& base);
@@ -319,6 +345,11 @@ WdlParser::parseCluster(const Value* cluster)
         return true;
     if (!cluster->isObject())
         return fail("'cluster' must be a mapping");
+    if (!checkKeys(*cluster, "'cluster'",
+                   {"nodes", "seed", "cores", "memory_gb", "nic_mb_s",
+                    "big_fraction", "big_multiplier", "slow_nic_fraction",
+                    "slow_nic_multiplier", "hop_latency_ms"}))
+        return false;
     cluster::FleetSpec spec;
     const int64_t nodes = cluster->getOr("nodes", int64_t{0});
     if (nodes < 1)
@@ -368,17 +399,10 @@ WdlParser::parseDurability(const Value* durability)
         return true;
     if (!durability->isObject())
         return fail("'durability' must be a mapping");
-    // A closed vocabulary: a misspelled knob (batch_window_ms for
-    // batch_window_us) silently reverting to its default would change
-    // the latency-vs-durability point without any signal.
-    for (const auto& [key, value] : durability->asObject()) {
-        if (key != "mode" && key != "append_latency_us" &&
-            key != "batch_window_us" && key != "batch_max_records") {
-            return fail("unknown 'durability' key '" + key +
-                        "' (expected mode/append_latency_us/"
-                        "batch_window_us/batch_max_records)");
-        }
-    }
+    if (!checkKeys(*durability, "'durability'",
+                   {"mode", "append_latency_us", "batch_window_us",
+                    "batch_max_records"}))
+        return false;
     WdlResult::DurabilitySpec spec;
     spec.mode = durability->getOr("mode", std::string("sync"));
     if (spec.mode != "sync" && spec.mode != "group_commit" &&
@@ -409,20 +433,11 @@ WdlParser::parseSlo(const Value* slo)
         return true;
     if (!slo->isObject())
         return fail("'slo' must be a mapping");
-    // Closed vocabulary, like 'durability': a misspelled knob silently
-    // falling back to its default would move the alert thresholds
-    // without any signal.
-    for (const auto& [key, value] : slo->asObject()) {
-        if (key != "deadline_ms" && key != "target_p99_ms" &&
-            key != "miss_budget" && key != "short_window_ms" &&
-            key != "long_window_ms" && key != "fire_burn" &&
-            key != "clear_burn") {
-            return fail("unknown 'slo' key '" + key +
-                        "' (expected deadline_ms/target_p99_ms/"
-                        "miss_budget/short_window_ms/long_window_ms/"
-                        "fire_burn/clear_burn)");
-        }
-    }
+    if (!checkKeys(*slo, "'slo'",
+                   {"deadline_ms", "target_p99_ms", "miss_budget",
+                    "short_window_ms", "long_window_ms", "fire_burn",
+                    "clear_burn"}))
+        return false;
     WdlResult::SloSpec spec;
     spec.deadline_ms = slo->getOr("deadline_ms", 1000.0);
     if (spec.deadline_ms <= 0.0)
@@ -457,26 +472,18 @@ WdlParser::parseDag(const Value& block)
 {
     if (!block.isObject())
         return fail("'dag' must be a mapping");
-    for (const auto& [key, value] : block.asObject()) {
-        if (key != "nodes" && key != "edges")
-            return fail("unknown 'dag' key '" + key +
-                        "' (expected nodes/edges)");
-    }
+    if (!checkKeys(block, "'dag'", {"nodes", "edges"}))
+        return false;
     const Value* nodes = block.find("nodes");
     if (!nodes || !nodes->isArray() || nodes->asArray().empty())
         return fail("'dag' needs a non-empty 'nodes' list");
     for (const Value& n : nodes->asArray()) {
         if (!n.isObject())
             return fail("each dag node must be a mapping");
-        for (const auto& [key, value] : n.asObject()) {
-            if (key != "name" && key != "function" && key != "kind" &&
-                key != "foreach_width" && key != "switch_id" &&
-                key != "switch_branch") {
-                return fail("unknown dag node key '" + key +
-                            "' (expected name/function/kind/foreach_width/"
-                            "switch_id/switch_branch)");
-            }
-        }
+        if (!checkKeys(n, "dag node",
+                       {"name", "function", "kind", "foreach_width",
+                        "switch_id", "switch_branch"}))
+            return false;
         DagNode node;
         node.name = n.getOr("name", std::string());
         if (node.name.empty())
@@ -523,13 +530,8 @@ WdlParser::parseDag(const Value& block)
         for (const Value& e : edges->asArray()) {
             if (!e.isObject())
                 return fail("each dag edge must be a mapping");
-            for (const auto& [key, value] : e.asObject()) {
-                if (key != "from" && key != "to" && key != "bytes" &&
-                    key != "payload") {
-                    return fail("unknown dag edge key '" + key +
-                                "' (expected from/to/bytes/payload)");
-                }
-            }
+            if (!checkKeys(e, "dag edge", {"from", "to", "bytes", "payload"}))
+                return false;
             const std::string from_name = e.getOr("from", std::string());
             const std::string to_name = e.getOr("to", std::string());
             const NodeId from = result_.dag.findByName(from_name);

@@ -175,8 +175,9 @@ struct WdlResult
  *     master_crash_rate_per_min: 0.0
  *
  * A top-level `cluster:` block generates the fleet to run on (see
- * cluster/fleet.h; all knobs optional, defaults mirror the paper's
- * uniform testbed machine):
+ * cluster/fleet.h; `nodes` is required, every other knob is optional
+ * and defaults to the paper's uniform testbed machine; unknown keys are
+ * rejected):
  *
  *   cluster:
  *     nodes: 1000
@@ -188,7 +189,7 @@ struct WdlResult
  *     big_multiplier: 2.0
  *     slow_nic_fraction: 0.1    # share of nodes with degraded NICs
  *     slow_nic_multiplier: 0.25
- *     hop_latency_ms: 0.5       # one-way cross-node latency (lookahead)
+ *     hop_latency_ms: 0.5       # one-way cross-node network latency
  *
  * A top-level `durability:` block opts the run into the durable
  * progress log at a chosen latency-vs-durability point (DESIGN.md §8.5):

@@ -79,6 +79,11 @@ struct BadInput
     const char* why;
 };
 
+// Name each case by its description. The default printer dumps the bytes
+// of the two pointers, which gives the test a new name at every load
+// address.
+void PrintTo(const BadInput& in, std::ostream* os) { *os << in.why; }
+
 class JsonErrorTest : public ::testing::TestWithParam<BadInput>
 {
 };

@@ -1,6 +1,8 @@
 /** @file Tests for the Workflow Definition Language parser. */
 #include <gtest/gtest.h>
 
+#include "cluster/fleet.h"
+#include "common/units.h"
 #include "workflow/analysis.h"
 #include "workflow/wdl.h"
 
@@ -256,7 +258,12 @@ struct BadWdl
 {
     const char* yaml;
     const char* expect_error;
+    const char* why;
 };
+
+// Name each case by its description. The default printer dumps the bytes
+// of the pointers, which gives the test a new name at every load address.
+void PrintTo(const BadWdl& in, std::ostream* os) { *os << in.why; }
 
 class WdlErrorTest : public ::testing::TestWithParam<BadWdl>
 {
@@ -273,16 +280,17 @@ TEST_P(WdlErrorTest, RejectsInvalidDefinitions)
 INSTANTIATE_TEST_SUITE_P(
     Malformed, WdlErrorTest,
     ::testing::Values(
-        BadWdl{"name: x\n", "steps"},
-        BadWdl{"name: x\nsteps: []\n", "non-empty"},
-        BadWdl{"name: x\nsteps:\n  - bogus: y\n", "unknown step"},
+        BadWdl{"name: x\n", "steps", "no steps"},
+        BadWdl{"name: x\nsteps: []\n", "non-empty", "empty steps"},
+        BadWdl{"name: x\nsteps:\n  - bogus: y\n", "unknown step",
+               "unknown step kind"},
         BadWdl{"name: x\nsteps:\n  - task: a\n    output_mb: -1\n",
-               "negative"},
+               "negative", "negative output"},
         BadWdl{"name: x\nsteps:\n  - parallel:\n      branches: []\n",
-               "non-empty"},
+               "non-empty", "empty parallel"},
         BadWdl{"name: x\nsteps:\n  - foreach:\n      width: 0\n"
                "      steps:\n        - task: a\n",
-               "width"},
+               "width", "zero foreach width"},
         BadWdl{"name: x\nsteps:\n  - switch:\n      branches:\n"
                "        - steps:\n"
                "            - switch:\n"
@@ -291,8 +299,8 @@ INSTANTIATE_TEST_SUITE_P(
                "                      - task: a\n"
                "        - steps:\n"
                "            - task: b\n",
-               "nested switch"},
-        BadWdl{"- 1\n- 2\n", "mapping"}));
+               "nested switch", "nested switch"},
+        BadWdl{"- 1\n- 2\n", "mapping", "not a mapping"}));
 
 TEST(WdlTest, DurabilityBlockParsesAndRejectsUnknownKeys)
 {
@@ -422,6 +430,107 @@ TEST(WdlTest, SloBlockValidatesRanges)
     ASSERT_FALSE(flap.ok());
     EXPECT_NE(flap.error.find("clear_burn"), std::string::npos);
 }
+
+TEST(WdlTest, ClusterBlockParsesIntoFleetSpec)
+{
+    const WdlResult r = parseWdlYaml(
+        "name: x\n"
+        "cluster:\n"
+        "  nodes: 64\n"
+        "  seed: 9\n"
+        "  cores: 16\n"
+        "  memory_gb: 48\n"
+        "  nic_mb_s: 250\n"
+        "  big_fraction: 0.25\n"
+        "  big_multiplier: 3\n"
+        "  slow_nic_fraction: 0.1\n"
+        "  slow_nic_multiplier: 0.5\n"
+        "  hop_latency_ms: 2\n"
+        "steps:\n"
+        "  - task: a\n");
+    ASSERT_TRUE(r.ok()) << r.error;
+    ASSERT_TRUE(r.has_cluster);
+    EXPECT_EQ(r.fleet.nodes, 64u);
+    EXPECT_EQ(r.fleet.seed, 9u);
+    EXPECT_EQ(r.fleet.base_cores, 16);
+    EXPECT_EQ(r.fleet.base_memory, 48 * kGiB);
+    EXPECT_EQ(r.fleet.base_bandwidth, 250e6);
+    EXPECT_EQ(r.fleet.big_node_fraction, 0.25);
+    EXPECT_EQ(r.fleet.big_core_multiplier, 3.0);
+    EXPECT_EQ(r.fleet.slow_nic_fraction, 0.1);
+    EXPECT_EQ(r.fleet.slow_nic_multiplier, 0.5);
+    EXPECT_EQ(r.fleet.hop_latency, SimTime::millis(2));
+
+    // Only `nodes` is required; the rest default to the uniform paper
+    // testbed, and the closed ranges include their end points.
+    const WdlResult defaults = parseWdlYaml(
+        "name: x\n"
+        "cluster:\n"
+        "  nodes: 3\n"
+        "  big_fraction: 1\n"
+        "  slow_nic_fraction: 0\n"
+        "  slow_nic_multiplier: 1\n"
+        "steps:\n"
+        "  - task: a\n");
+    ASSERT_TRUE(defaults.ok()) << defaults.error;
+    const cluster::FleetSpec uniform;
+    EXPECT_EQ(defaults.fleet.nodes, 3u);
+    EXPECT_EQ(defaults.fleet.seed, uniform.seed);
+    EXPECT_EQ(defaults.fleet.base_cores, uniform.base_cores);
+    EXPECT_EQ(defaults.fleet.base_memory, uniform.base_memory);
+    EXPECT_EQ(defaults.fleet.base_bandwidth, uniform.base_bandwidth);
+    EXPECT_EQ(defaults.fleet.big_core_multiplier,
+              uniform.big_core_multiplier);
+    EXPECT_EQ(defaults.fleet.hop_latency, uniform.hop_latency);
+
+    const WdlResult absent = mustParse("name: x\nsteps:\n  - task: a\n");
+    EXPECT_FALSE(absent.has_cluster);
+}
+
+// Every validation branch of the `cluster:` block, plus its closed
+// vocabulary: a misspelled knob (big_fracton) must not silently leave a
+// uniform fleet.
+#define CLUSTER_WDL(body) "name: x\ncluster:\n" body "steps:\n  - task: a\n"
+INSTANTIATE_TEST_SUITE_P(
+    ClusterBlock, WdlErrorTest,
+    ::testing::Values(
+        BadWdl{"name: x\ncluster: 5\nsteps:\n  - task: a\n",
+               "'cluster' must be a mapping", "cluster not a mapping"},
+        BadWdl{CLUSTER_WDL("  seed: 1\n"), "cluster.nodes", "no nodes"},
+        BadWdl{CLUSTER_WDL("  nodes: 0\n"), "cluster.nodes", "zero nodes"},
+        BadWdl{CLUSTER_WDL("  nodes: 4\n  cores: 0\n"), "cluster.cores",
+               "zero cores"},
+        BadWdl{CLUSTER_WDL("  nodes: 4\n  memory_gb: 0\n"),
+               "cluster.memory_gb", "zero memory"},
+        BadWdl{CLUSTER_WDL("  nodes: 4\n  memory_gb: -2\n"),
+               "cluster.memory_gb", "negative memory"},
+        BadWdl{CLUSTER_WDL("  nodes: 4\n  nic_mb_s: 0\n"),
+               "cluster.nic_mb_s", "zero nic"},
+        BadWdl{CLUSTER_WDL("  nodes: 4\n  nic_mb_s: -5\n"),
+               "cluster.nic_mb_s", "negative nic"},
+        BadWdl{CLUSTER_WDL("  nodes: 4\n  hop_latency_ms: 0\n"),
+               "cluster.hop_latency_ms", "zero hop latency"},
+        BadWdl{CLUSTER_WDL("  nodes: 4\n  hop_latency_ms: -1\n"),
+               "cluster.hop_latency_ms", "negative hop latency"},
+        BadWdl{CLUSTER_WDL("  nodes: 4\n  big_fraction: -0.1\n"),
+               "fractions", "negative big fraction"},
+        BadWdl{CLUSTER_WDL("  nodes: 4\n  big_fraction: 1.5\n"),
+               "fractions", "big fraction above one"},
+        BadWdl{CLUSTER_WDL("  nodes: 4\n  slow_nic_fraction: -0.5\n"),
+               "fractions", "negative slow nic fraction"},
+        BadWdl{CLUSTER_WDL("  nodes: 4\n  slow_nic_fraction: 2\n"),
+               "fractions", "slow nic fraction above one"},
+        BadWdl{CLUSTER_WDL("  nodes: 4\n  big_multiplier: 0.5\n"),
+               "cluster.big_multiplier", "big multiplier below one"},
+        BadWdl{CLUSTER_WDL("  nodes: 4\n  slow_nic_multiplier: 0\n"),
+               "cluster.slow_nic_multiplier", "zero slow nic multiplier"},
+        BadWdl{CLUSTER_WDL("  nodes: 4\n  slow_nic_multiplier: 1.5\n"),
+               "cluster.slow_nic_multiplier",
+               "slow nic multiplier above one"},
+        BadWdl{CLUSTER_WDL("  nodes: 4\n  big_fracton: 0.5\n"),
+               "unknown 'cluster' key 'big_fracton'",
+               "misspelled cluster key"}));
+#undef CLUSTER_WDL
 
 TEST(WdlTest, ForeachInsideForeachRejected)
 {

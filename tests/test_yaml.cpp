@@ -185,6 +185,11 @@ struct BadYaml
     const char* why;
 };
 
+// Name each case by its description. The default printer dumps the bytes
+// of the two pointers, which gives the test a new name at every load
+// address.
+void PrintTo(const BadYaml& in, std::ostream* os) { *os << in.why; }
+
 class YamlErrorTest : public ::testing::TestWithParam<BadYaml>
 {
 };
